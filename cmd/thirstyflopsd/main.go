@@ -980,13 +980,13 @@ type healthBody struct {
 	Live          *liveHealth             `json:"live,omitempty"`
 	Watch         *watch.Stats            `json:"watch,omitempty"`
 	Jobs          *jobsHealth             `json:"jobs,omitempty"`
-	Gang          *gangHealth             `json:"gang,omitempty"`
+	Gang          gangHealth              `json:"gang"`
 }
 
-// gangHealth is the /healthz gang block (present only when -gang-window
-// is positive): the fleet-wide batch scheduler's counters plus the
-// substrate layer's cross-job hit count — generator years one job
-// computed and another consumed.
+// gangHealth is the /healthz gang block (always present; window_ns is 0
+// and no batch merges when -gang-window is 0): the batch executor's
+// counters plus the substrate layer's cross-job hit count — generator
+// years one job computed and another consumed.
 type gangHealth struct {
 	gang.Stats
 	CrossJobSubstrateHits uint64 `json:"cross_job_substrate_hits"`
@@ -1006,11 +1006,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d := body.Cache.Disk; d != nil {
 		body.Breaker = d.Breaker
 	}
-	if g := body.Cache.Gang; g != nil {
-		body.Gang = &gangHealth{
-			Stats:                 *g,
-			CrossJobSubstrateHits: body.Cache.Substrate.CrossJobHits,
-		}
+	body.Gang = gangHealth{
+		Stats:                 *body.Cache.Gang,
+		CrossJobSubstrateHits: body.Cache.Substrate.CrossJobHits,
 	}
 	if reg := s.engine.LiveStreams(); reg != nil && reg.Len() > 0 {
 		sum := telemetry.Summarize(reg.Statuses())

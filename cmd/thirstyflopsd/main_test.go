@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -457,10 +458,25 @@ func TestLiveRoutesWithoutStream(t *testing.T) {
 	}
 }
 
+// closeSignalListener closes closed the first time the listener is
+// closed, so a test can order itself after Shutdown's listener close.
+type closeSignalListener struct {
+	net.Listener
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (l *closeSignalListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return l.Listener.Close()
+}
+
 // TestGracefulShutdownDrainsInflight proves Shutdown lets an in-flight
 // request finish: an /ingest POST whose body arrives only after Shutdown
 // is called must still complete with 200, while fresh connections are
-// refused.
+// refused. Every step is ordered by an event: the server reports the
+// connection active before Shutdown starts, and the body is finished
+// only once Shutdown has closed the listener.
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	stream, err := thirstyflops.NewStream("", 0, 24)
 	if err != nil {
@@ -471,11 +487,18 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: h}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	active := make(chan struct{})
+	var activeOnce sync.Once
+	srv := &http.Server{Handler: h, ConnState: func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			activeOnce.Do(func() { close(active) })
+		}
+	}}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &closeSignalListener{Listener: inner, closed: make(chan struct{})}
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 
@@ -501,18 +524,20 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		inflight <- result{resp.StatusCode, nil}
 	}()
-	// Ensure the request headers reached the server before shutting down.
 	if _, err := pw.Write([]byte(`{"hour":0,`)); err != nil {
 		t.Fatal(err)
 	}
+	// The server accepted the connection and is reading the request:
+	// Shutdown now owes it a drain.
+	<-active
 
 	shutdownDone := make(chan error, 1)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	go func() { shutdownDone <- srv.Shutdown(shutCtx) }()
 
-	// Give Shutdown a moment to close the listener, then finish the body.
-	time.Sleep(50 * time.Millisecond)
+	// Finish the body only after Shutdown has closed the listener.
+	<-ln.closed
 	if _, err := pw.Write([]byte(`"power_w":1e6}`)); err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,6 @@ type Engine struct {
 	workers    int
 	maxEntries int
 	shardHint  int
-	planner    bool
 	shards     []*cache.Cache[fingerprint.Key, core.Annual]
 	streams    *telemetry.Registry
 
@@ -81,11 +80,12 @@ type Engine struct {
 	diskSkips     atomic.Uint64
 
 	// Substrate-layer lookups made on this Engine's behalf, split by
-	// whether the triggering assessment was scheduled by the sweep
-	// planner. The split is how planner effectiveness is observed in
-	// production (CacheStats.Substrate). The cross-job pair is a subset
-	// of the planned pair: lookups whose unit was co-scheduled by the
-	// gang scheduler into a substrate group spanning more than one batch.
+	// whether the triggering assessment ran in a planned batch
+	// (AssessBatch) or alone (Assess). The split is how planner
+	// effectiveness is observed in production (CacheStats.Substrate).
+	// The cross-job pair is a subset of the planned pair: lookups whose
+	// unit was co-scheduled into a substrate group spanning more than
+	// one batch.
 	subPlannedHits     atomic.Uint64
 	subPlannedMisses   atomic.Uint64
 	subUnplannedHits   atomic.Uint64
@@ -93,11 +93,11 @@ type Engine struct {
 	subCrossJobHits    atomic.Uint64
 	subCrossJobMisses  atomic.Uint64
 
-	// gangWindow/gangSched are the fleet-wide admission layer
-	// (WithGangWindow): when the window is positive and the planner is
-	// on, AssessBatch calls enqueue into one shared scheduler that merges
-	// batches arriving within a window into a single substrate-affine
-	// schedule. gangSched is nil when gang scheduling is off.
+	// gangSched is the one batch executor: every AssessBatch call
+	// submits into it. With a positive gangWindow (WithGangWindow) it
+	// merges batches arriving within the window into a single
+	// substrate-affine schedule; otherwise each batch is a round of its
+	// own.
 	gangWindow time.Duration
 	gangSched  *gang.Scheduler
 }
@@ -107,7 +107,7 @@ type Engine struct {
 type subTag uint8
 
 const (
-	// subUnplanned: single Assess calls, or planning disabled.
+	// subUnplanned: single Assess calls.
 	subUnplanned subTag = iota
 	// subPlanned: scheduled by the sweep planner within one batch.
 	subPlanned
@@ -166,27 +166,14 @@ func WithLiveStreams(r *telemetry.Registry) Option {
 	return func(e *Engine) { e.streams = r }
 }
 
-// WithPlanner toggles substrate-aware batch planning (default on). When
-// enabled, AssessMany/AssessBatch/Sweep fingerprint each request's
-// substrate identity and schedule the batch so requests sharing a
-// substrate run consecutively on one worker (internal/plan): at most
-// `workers` distinct substrates are live at any moment, so a bounded
-// substrate cache generates each shared year once per sweep regardless
-// of arrival order. Disabling it restores arrival-order fan-out — the
-// baseline the planner benchmarks compare against.
-func WithPlanner(enabled bool) Option {
-	return func(e *Engine) { e.planner = enabled }
-}
-
 // WithGangWindow enables fleet-wide gang scheduling: AssessBatch calls
 // arriving within d of each other merge into one substrate-affine
 // schedule (internal/gang), so concurrent batches sweeping the same
 // sites generate each shared substrate year once fleet-wide instead of
 // once per batch. Per-batch context cancellation is still honored —
 // canceling one batch never cancels co-scheduled units of another.
-// d <= 0 (the default) keeps today's per-batch planning; the option
-// requires the planner (WithPlanner(false) disables it too, since the
-// merged schedule is built by the same planner).
+// d <= 0 (the default) plans each batch on its own: the batch is a
+// round of its own, started at once.
 func WithGangWindow(d time.Duration) Option {
 	return func(e *Engine) { e.gangWindow = d }
 }
@@ -273,7 +260,6 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		workers:    runtime.GOMAXPROCS(0),
 		maxEntries: 64,
-		planner:    true,
 	}
 	for _, o := range opts {
 		o(e)
@@ -306,9 +292,7 @@ func NewEngine(opts ...Option) *Engine {
 			e.disk = nil
 		}
 	}
-	if e.gangWindow > 0 && e.planner {
-		e.gangSched = gang.New(e.gangWindow, e.workers)
-	}
+	e.gangSched = gang.New(e.gangWindow, e.workers)
 	return e
 }
 
@@ -326,18 +310,6 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the shared package-level Engine backing the
-// deprecated one-shot top-level helpers.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // CacheStats reports the Engine's memoization behavior: the sharded
 // assessment memo plus the substrate layer beneath it.
 type CacheStats struct {
@@ -350,10 +322,11 @@ type CacheStats struct {
 	// execution.
 	Substrate SubstrateStats `json:"substrate"`
 
-	// Gang reports the fleet-wide batch scheduler (nil when
-	// WithGangWindow is not in effect): how many batches merged into
-	// shared rounds and how many units were co-scheduled across jobs.
-	Gang *gang.Stats `json:"gang,omitempty"`
+	// Gang reports the batch executor (never nil): how many batches
+	// merged into shared rounds and how many units were co-scheduled
+	// across jobs. At window 0 every batch is its own round, so
+	// MergedBatches stays 0.
+	Gang *gang.Stats `json:"gang"`
 
 	// Disk reports the persistence tier (nil when WithPersistence is not
 	// in effect). A warm restart shows up here as Hits with zero
@@ -398,9 +371,9 @@ type DiskStats struct {
 // layer is shared by every Engine — while the planned/unplanned split
 // counts only lookups made on this Engine's behalf: a lookup is
 // "planned" when the triggering assessment was scheduled by the sweep
-// planner (AssessMany/AssessBatch/Sweep with WithPlanner enabled) and
-// "unplanned" otherwise (single Assess calls, or planning disabled). A
-// healthy planned/unplanned hit-rate gap is the planner doing its job.
+// planner (AssessMany/AssessBatch/Sweep) and "unplanned" when it ran
+// alone (single Assess calls). A healthy planned/unplanned hit-rate gap
+// is the planner doing its job.
 type SubstrateStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -441,10 +414,8 @@ func (e *Engine) CacheStats() CacheStats {
 		CrossJobHits:    e.subCrossJobHits.Load(),
 		CrossJobMisses:  e.subCrossJobMisses.Load(),
 	}
-	if e.gangSched != nil {
-		g := e.gangSched.Stats()
-		out.Gang = &g
-	}
+	g := e.gangSched.Stats()
+	out.Gang = &g
 	if e.store != nil {
 		st := e.store.Stats()
 		snap := e.disk.Snapshot()
@@ -973,24 +944,13 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 
 // AssessMany evaluates a batch of requests across the Engine's worker
 // pool, preserving order. Requests sharing a configuration simulate
-// once, and (unless WithPlanner(false)) the batch is scheduled by the
-// substrate-aware planner so requests sharing generator years run
-// consecutively on one worker. Failed requests leave nil slots; the
+// once, and the batch is scheduled by the substrate-aware planner so
+// requests sharing generator years run consecutively on one worker. Failed requests leave nil slots; the
 // joined error reports every failure.
 func (e *Engine) AssessMany(ctx context.Context, reqs []AssessRequest) ([]*AssessResult, error) {
 	return e.AssessBatch(ctx, reqs, nil)
 }
 
-// AssessBatch is AssessMany plus a completion hook: onResult (when
-// non-nil) is invoked once per request as it finishes, from whichever
-// worker goroutine ran it — the progress feed behind the daemon's async
-// job queue. res is nil exactly when err is non-nil.
-//
-// Execution order is the planner's: requests are fingerprinted by
-// substrate identity (core.Config.SubstrateKeys), grouped, clustered by
-// shared components, and split into contiguous per-worker spans
-// (internal/plan). Results are always returned in request order
-// regardless of execution order.
 // assessSafe is assessResolved with per-unit panic containment: a
 // panicking configuration fails that one unit with an error instead of
 // killing the worker goroutine (and with it the process) — a batch of
@@ -1004,6 +964,22 @@ func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg Config, 
 	return e.assessResolved(ctx, req, cfg, tag)
 }
 
+// AssessBatch is AssessMany plus a completion hook: onResult (when
+// non-nil) is invoked once per request as it finishes, from whichever
+// worker goroutine ran it — the progress feed behind the daemon's async
+// job queue. res is nil exactly when err is non-nil.
+//
+// Every batch runs through one executor, the Engine's gang scheduler
+// (internal/gang). Requests are resolved and fingerprinted by substrate
+// identity (core.Config.SubstrateKeys); resolution failures are
+// reported before anything runs. The rest is submitted as one batch:
+// with a positive WithGangWindow it merges with every other batch
+// submitted within the window, otherwise it is a round of its own. Each
+// round is grouped, clustered by shared components and split into
+// contiguous per-worker spans (internal/plan). Results are always
+// returned in request order regardless of execution order. Canceling
+// ctx fails this batch's unstarted units with the context error and
+// never cancels another batch's units.
 func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult func(i int, res *AssessResult, err error)) ([]*AssessResult, error) {
 	results := make([]*AssessResult, len(reqs))
 	errs := make([]error, len(reqs))
@@ -1021,14 +997,9 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 	// Resolve every request up front: the planner derives substrate
 	// identities from materialized configs, and resolution failures
 	// (unknown system, invalid document) drop out of the schedule
-	// before any simulation runs. Fingerprinting is skipped entirely
-	// when planning is off — the unplanned path never reads the keys.
+	// before any simulation runs.
 	cfgs := make([]Config, len(reqs))
-	resolved := make([]int, 0, len(reqs))
-	var items []plan.Item
-	if e.planner {
-		items = make([]plan.Item, 0, len(reqs))
-	}
+	items := make([]plan.Item, 0, len(reqs))
 	for i, r := range reqs {
 		cfg, err := r.resolveConfig()
 		if err != nil {
@@ -1036,95 +1007,26 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 			continue
 		}
 		cfgs[i] = cfg
-		resolved = append(resolved, i)
-		if e.planner {
-			ks := cfg.SubstrateKeys()
-			items = append(items, plan.Item{Index: i, Substrate: ks.Combined(), Cluster: ks.Cluster()})
+		ks := cfg.SubstrateKeys()
+		items = append(items, plan.Item{Index: i, Substrate: ks.Combined(), Cluster: ks.Cluster()})
+	}
+
+	// The run callback demuxes completions back into this batch's
+	// slots; on cancellation the scheduler invokes it for every unit no
+	// worker claimed, so nil result slots still pair with a reported
+	// error.
+	e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
+		if err := ctx.Err(); err != nil {
+			note(i, nil, err)
+			return
 		}
-	}
-
-	workers := e.workers
-	if workers > len(resolved) {
-		workers = len(resolved)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Gang path: hand the fingerprinted items to the shared fleet-wide
-	// scheduler, which merges them with any other batch arriving within
-	// the merge window and plans the union. The run callback demuxes
-	// completions back into this batch's slots; on cancellation the
-	// scheduler invokes it for every unit no worker claimed, so nil
-	// result slots still pair with a reported error.
-	if e.planner && e.gangSched != nil {
-		e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
-			if err := ctx.Err(); err != nil {
-				note(i, nil, err)
-				return
-			}
-			tag := subPlanned
-			if crossJob {
-				tag = subCrossJob
-			}
-			res, err := e.assessSafe(ctx, reqs[i], cfgs[i], tag)
-			note(i, res, err)
-		})
-		return results, joinUnitErrors(errs)
-	}
-
-	var wg sync.WaitGroup
-	if e.planner {
-		p := plan.Build(items, workers)
-		for _, span := range p.Spans {
-			wg.Add(1)
-			go func(span []int) {
-				defer wg.Done()
-				for k, i := range span {
-					if err := ctx.Err(); err != nil {
-						// Mark the span's remainder, so nil result
-						// slots always pair with a reported error.
-						for _, j := range span[k:] {
-							note(j, nil, err)
-						}
-						return
-					}
-					res, err := e.assessSafe(ctx, reqs[i], cfgs[i], subPlanned)
-					note(i, res, err)
-				}
-			}(span)
+		tag := subPlanned
+		if crossJob {
+			tag = subCrossJob
 		}
-		wg.Wait()
-		return results, joinUnitErrors(errs)
-	}
-
-	// Unplanned arrival-order fan-out: the pre-planner baseline, kept
-	// for comparison (benchmarks, WithPlanner(false)).
-	idx := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := e.assessSafe(ctx, reqs[i], cfgs[i], subUnplanned)
-				note(i, res, err)
-			}
-		}()
-	}
-feed:
-	for k, i := range resolved {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Mark every request not yet handed to a worker.
-			for _, rest := range resolved[k:] {
-				note(rest, nil, ctx.Err())
-			}
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+		res, err := e.assessSafe(ctx, reqs[i], cfgs[i], tag)
+		note(i, res, err)
+	})
 	return results, joinUnitErrors(errs)
 }
 

@@ -196,19 +196,4 @@ func TestAssessBatchPanicContainment(t *testing.T) {
 	if results[1] != nil {
 		t.Fatal("panicking unit produced a result")
 	}
-
-	// The unplanned path contains panics too.
-	eng2 := NewEngine(WithPlanner(false), WithAssessHook(func(system string) error {
-		if system == "Fugaku" {
-			panic("poisoned config")
-		}
-		return nil
-	}))
-	results, err = eng2.AssessMany(context.Background(), reqs)
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("unplanned joined error = %v, want a contained panic", err)
-	}
-	if results[0] == nil || results[2] == nil || results[1] != nil {
-		t.Fatal("unplanned path mishandled the poisoned unit")
-	}
 }

@@ -99,25 +99,38 @@ func TestGangFleetWideOptimum(t *testing.T) {
 	}
 }
 
-// TestGangWindowZeroRestoresPerBatch: window 0 (the default) means no
-// scheduler at all — and so does disabling the planner, since the merged
-// schedule is the planner's.
+// TestGangWindowZeroRestoresPerBatch: at window 0 (the default) every
+// batch is a round of its own: concurrent batches never merge, and the
+// gang block reports a zero window.
 func TestGangWindowZeroRestoresPerBatch(t *testing.T) {
-	if NewEngine().CacheStats().Gang != nil {
-		t.Error("default engine has a gang scheduler")
-	}
-	if NewEngine(WithGangWindow(0)).CacheStats().Gang != nil {
-		t.Error("window 0 still built a gang scheduler")
-	}
-	if NewEngine(WithGangWindow(time.Millisecond), WithPlanner(false)).CacheStats().Gang != nil {
-		t.Error("gang scheduler built with the planner disabled")
+	reqs := interleavedSweep(sweepSystems[:2], []uint64{1}, []int{2030})
+	for _, eng := range []*Engine{NewEngine(), NewEngine(WithGangWindow(0))} {
+		var wg sync.WaitGroup
+		for b := 0; b < 3; b++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := eng.AssessMany(context.Background(), reqs)
+				if err != nil || len(res) != 2 || res[0] == nil || res[1] == nil {
+					t.Errorf("window-0 batch lost results: %v, %v", res, err)
+				}
+			}()
+		}
+		wg.Wait()
+		gs := eng.CacheStats().Gang
+		if gs == nil {
+			t.Fatal("window-0 engine reports no gang block")
+		}
+		if gs.WindowNs != 0 || gs.Batches != 3 || gs.Rounds != 3 || gs.MergedBatches != 0 || gs.CoscheduledUnits != 0 {
+			t.Errorf("window 0 gang stats = %+v; want 3 rounds of one batch each and no merges", gs)
+		}
 	}
 	eng := NewEngine(WithGangWindow(time.Millisecond))
-	if eng.CacheStats().Gang == nil {
-		t.Fatal("no gang scheduler with a positive window")
+	if gs := eng.CacheStats().Gang; gs == nil || gs.WindowNs != time.Millisecond.Nanoseconds() {
+		t.Fatalf("positive-window gang block = %+v", gs)
 	}
-	// And the scheduled path still answers correctly.
-	res, err := eng.AssessMany(context.Background(), interleavedSweep(sweepSystems[:2], []uint64{1}, []int{2030}))
+	// And the merged path still answers correctly.
+	res, err := eng.AssessMany(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +231,6 @@ func TestAssessBatchCancelCollapsesErrors(t *testing.T) {
 		eng  *Engine
 	}{
 		{"planner", NewEngine()},
-		{"unplanned", NewEngine(WithPlanner(false))},
 		{"gang", NewEngine(WithGangWindow(time.Millisecond))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,7 +158,7 @@ func TestWaterIntensityComposition(t *testing.T) {
 
 func TestHourlyWaterIntensity(t *testing.T) {
 	a := mustAssess(t, "Frontier")
-	wi := a.HourlyWaterIntensity()
+	wi := a.Hourly.WaterIntensity()
 	if len(wi) != a.Hourly.Len() {
 		t.Fatal("length mismatch")
 	}

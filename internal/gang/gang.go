@@ -8,6 +8,9 @@
 // planned as a single merged batch (plan.Build over the union, grouped
 // by substrate identity regardless of which batch a unit came from), and
 // completions demultiplex back to each batch as its units finish.
+// The scheduler is the engine's only batch executor: with a zero window
+// every batch is a round of its own, so per-batch planning and merged
+// rounds share one cancellation and accounting path.
 //
 // Invariants the scheduler maintains (pinned by gang_test.go and the
 // engine-level soak):
@@ -132,8 +135,9 @@ func (b *batch) exec(pos int, crossJob bool) bool {
 
 // New builds a scheduler merging batches that arrive within window of a
 // round opening, planning each round for up to workers parallel spans.
-// A non-positive window degenerates to one round per batch — per-batch
-// planning with an extra hop — so callers gate on window > 0 instead.
+// With a non-positive window every batch is a round of its own, started
+// as soon as it is submitted: per-batch planning, with the same
+// cancellation drain and exactly-once claims as merged rounds.
 func New(window time.Duration, workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
@@ -141,8 +145,9 @@ func New(window time.Duration, workers int) *Scheduler {
 	return &Scheduler{window: window, workers: workers}
 }
 
-// Submit enqueues one batch's units into the merge window and blocks
-// until every unit has been executed. items carry batch-local indices
+// Submit enqueues one batch's units into the merge window (or, with no
+// window, starts them as a round of their own) and blocks until every
+// unit has been executed. items carry batch-local indices
 // (plan.Item.Index) and substrate identities; run is invoked exactly
 // once per item, from a round worker goroutine — or, after ctx is
 // canceled, from this goroutine for units no worker had claimed yet, so
@@ -164,17 +169,28 @@ func (s *Scheduler) Submit(ctx context.Context, items []plan.Item, run Run) {
 
 	s.batches.Add(1)
 	s.units.Add(uint64(len(items)))
-	s.mu.Lock()
-	for pos := range items {
-		s.pending = append(s.pending, item{b, pos})
+	if s.window <= 0 {
+		// No merge window: the batch never meets the pending queue, so
+		// it cannot share a round with another batch by timing luck.
+		round := make([]item, len(items))
+		for pos := range items {
+			round[pos] = item{b, pos}
+		}
+		go s.execute(round)
+	} else {
+		s.mu.Lock()
+		for pos := range items {
+			s.pending = append(s.pending, item{b, pos})
+		}
+		if !s.open {
+			// First batch of a round arms the window; later batches
+			// join the same round, so no batch waits longer than one
+			// window.
+			s.open = true
+			time.AfterFunc(s.window, s.fire)
+		}
+		s.mu.Unlock()
 	}
-	if !s.open {
-		// First batch of a round arms the window; later batches join
-		// the same round, so no batch waits longer than one window.
-		s.open = true
-		time.AfterFunc(s.window, s.fire)
-	}
-	s.mu.Unlock()
 
 	select {
 	case <-b.done:

@@ -123,6 +123,50 @@ func TestDisjointWindowsDoNotMerge(t *testing.T) {
 	}
 }
 
+// TestGangWindowZeroNeverMerges: with no merge window each Submit is a round
+// of its own, started at once. Batch B is submitted while batch A's
+// round is provably still running (its unit holds the worker), and B
+// completes before A is released: two rounds, no merge.
+func TestGangWindowZeroNeverMerges(t *testing.T) {
+	s := New(0, 2)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		s.Submit(context.Background(), itemsFor(1, 1), func(int, bool) {
+			close(started)
+			<-release
+		})
+	}()
+	<-started
+
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		s.Submit(context.Background(), itemsFor(3, 1), func(_ int, cj bool) {
+			if cj {
+				t.Error("window-0 unit flagged cross-job")
+			}
+		})
+	}()
+	select {
+	case <-bDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("window-0 batch waited for another batch's round")
+	}
+	close(release)
+	<-aDone
+
+	st := s.Stats()
+	if st.Rounds != 2 || st.Batches != 2 || st.MergedBatches != 0 || st.CoscheduledUnits != 0 || st.CrossJobUnits != 0 {
+		t.Fatalf("window-0 stats = %+v; want 2 rounds of one batch each", st)
+	}
+	if st.WindowNs != 0 {
+		t.Fatalf("window_ns = %d, want 0", st.WindowNs)
+	}
+}
+
 // TestCancellationIsolation: canceling one batch mid-round neither
 // cancels nor drops units of a co-scheduled batch, and the canceled
 // batch's Submit returns without waiting for the survivor's slow units.

@@ -10,6 +10,7 @@ package thirstyflops
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -38,6 +39,41 @@ func interleavedSweep(systems []string, seeds []uint64, years []int) []AssessReq
 		}
 	}
 	return reqs
+}
+
+// assessArrivalOrder is the pre-planner batch baseline the planner is
+// measured against: workers goroutines take requests in arrival order
+// and assess each one alone through Engine.Assess, so requests sharing a
+// substrate run wherever they happen to land.
+func assessArrivalOrder(ctx context.Context, eng *Engine, reqs []AssessRequest, workers int) error {
+	errs := make([]error, len(reqs))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				_, errs[i] = eng.Assess(ctx, reqs[i])
+			}
+		}()
+	}
+	for i := range reqs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// assessSweep runs reqs through the planner (AssessMany) or, for the
+// baseline, in arrival order on workers goroutines.
+func assessSweep(ctx context.Context, eng *Engine, reqs []AssessRequest, planned bool, workers int) error {
+	if planned {
+		_, err := eng.AssessMany(ctx, reqs)
+		return err
+	}
+	return assessArrivalOrder(ctx, eng, reqs, workers)
 }
 
 // restoreSubstrate pins the process-global substrate layer back to its
@@ -115,9 +151,9 @@ func TestPlannerBeatsUnplannedOrder(t *testing.T) {
 	reqs := interleavedSweep(sweepSystems, seeds, years)
 
 	run := func(planner bool) uint64 {
-		eng := NewEngine(WithCache(0), WithWorkers(1), WithPlanner(planner))
+		eng := NewEngine(WithCache(0), WithWorkers(1))
 		return generationsDuring(t, 2, func() {
-			if _, err := eng.AssessMany(context.Background(), reqs); err != nil {
+			if err := assessSweep(context.Background(), eng, reqs, planner, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -280,12 +316,13 @@ func benchSweepEngine(b *testing.B, planner bool) {
 	b.ReportAllocs()
 	defer substrate.SetCapacity(substrate.DefaultCapacity)
 	substrate.SetCapacity(2)
-	eng := NewEngine(WithCache(0), WithWorkers(4), WithPlanner(planner))
+	const workers = 4
+	eng := NewEngine(WithCache(0), WithWorkers(workers))
 	reqs := benchSweep()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.AssessMany(ctx, reqs); err != nil {
+		if err := assessSweep(ctx, eng, reqs, planner, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

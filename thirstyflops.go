@@ -50,7 +50,6 @@
 package thirstyflops
 
 import (
-	"context"
 	"io"
 
 	"thirstyflops/internal/configio"
@@ -454,19 +453,6 @@ func DefaultDryMix() Mix { return watercap.DefaultDryMix() }
 // cooling and generation over an assessed hourly timeline.
 func RunWaterCap(p WaterCapPolicy, s Series) (WaterCapResult, error) {
 	return watercap.Run(p, s)
-}
-
-// Water500 ranks the bundled systems by operational water per unit of
-// delivered performance.
-//
-// Deprecated: use Engine.Water500, which reuses cached assessments and
-// honors a context.
-func Water500() ([]Water500Entry, error) {
-	res, err := DefaultEngine().Water500(context.Background(), Water500Request{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
 }
 
 // --- Geo-distributed shifting (Takeaway 7) ---

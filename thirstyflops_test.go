@@ -1,6 +1,7 @@
 package thirstyflops
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -221,10 +222,11 @@ func TestFacadeWaterCap(t *testing.T) {
 }
 
 func TestFacadeWater500(t *testing.T) {
-	entries, err := Water500()
+	res, err := NewEngine().Water500(context.Background(), Water500Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := res.Entries
 	if len(entries) != 4 || entries[0].Rank != 1 {
 		t.Errorf("Water500 malformed: %+v", entries)
 	}
